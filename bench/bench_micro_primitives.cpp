@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the primitives every experiment
-// rests on: hashing, compression, tar, tree diff/union, index round-trips.
+// rests on: hashing, wire checksums, compression, tar, tree diff/union,
+// index round-trips.
 #include <benchmark/benchmark.h>
 
 #include "compress/codec.hpp"
@@ -7,6 +8,7 @@
 #include "docker/overlay.hpp"
 #include "gear/index.hpp"
 #include "tar/tar.hpp"
+#include "util/crc32.hpp"
 #include "util/md5.hpp"
 #include "util/rng.hpp"
 #include "util/sha256.hpp"
@@ -41,6 +43,16 @@ void BM_Md5(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Md5)->Arg(4096)->Arg(262144);
+
+void BM_Crc32(benchmark::State& state) {
+  Bytes data = test_data(static_cast<std::size_t>(state.range(0)), 0.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(262144);
 
 void BM_Sha256(benchmark::State& state) {
   Bytes data = test_data(static_cast<std::size_t>(state.range(0)), 0.0);

@@ -428,7 +428,7 @@ class GearClient {
   std::unique_ptr<util::ThreadPool> pool_;   // lazily built
   bool bulk_warm_deploy_ = false;
   bool prefetch_after_deploy_ = false;
-  std::size_t batch_files_ = 64;             // files per bulk round-trip
+  std::size_t batch_files_ = kDownloadBatchFiles;  // files per round-trip
   std::size_t range_batch_chunks_ = 64;      // chunks per range round-trip
   PrefetchOrder prefetch_order_ = PrefetchOrder::kPath;
   PrefetchObserver prefetch_observer_;

@@ -1,11 +1,104 @@
 #include "gear/local_runtime.hpp"
 
+#include <condition_variable>
+#include <mutex>
+
 #include "docker/layer.hpp"
 #include "gear/converter.hpp"  // kGearIndexLabel
 #include "gear/client.hpp"     // push_gear_image
 #include "gear/viewer.hpp"
 
 namespace gear {
+
+void fetch_batched(FileRegistryApi& registry,
+                   const std::vector<FetchItem>& items,
+                   util::ThreadPool* pool, HostBudget* budget,
+                   const std::string& what,
+                   const std::function<void(std::size_t, Bytes)>& land) {
+  const std::uint64_t budget_bytes =
+      budget != nullptr ? budget->budget_bytes() : 0;
+  // Batches are contiguous runs of `items`: first[k] is batch k's first
+  // item, hint[k] the bytes still to move when it starts (the
+  // smallest-remaining-first admission key).
+  std::vector<PrefetchBatch> batches;
+  std::vector<std::size_t> first;
+  std::vector<std::uint64_t> hint;
+  std::uint64_t remaining = 0;
+  for (const FetchItem& item : items) remaining += item.size;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const std::uint64_t size = items[i].size;
+    const bool full =
+        !batches.empty() &&
+        (batches.back().fps.size() >= kDownloadBatchFiles ||
+         batches.back().wire_estimate + size > kFetchBatchBytes ||
+         (budget_bytes != 0 &&
+          batches.back().wire_estimate + size > budget_bytes));
+    if (batches.empty() || full) {
+      batches.emplace_back();
+      first.push_back(i);
+      hint.push_back(remaining);
+    }
+    batches.back().fps.push_back(items[i].fingerprint);
+    batches.back().wire_estimate += size;
+    remaining -= size;
+  }
+
+  // Leases are taken in batch order, so a batch fetched ahead never holds
+  // budget that the batch the caller lands next is still waiting for.
+  std::mutex turn_mutex;
+  std::condition_variable turn_cv;
+  std::size_t turn = 0;
+  auto index_of = [&](const PrefetchBatch& b) {
+    return static_cast<std::size_t>(&b - batches.data());
+  };
+  auto fetch = [&](const PrefetchBatch& b, util::ThreadPool* p) {
+    const std::size_t k = index_of(b);
+    FetchedBatch landed;
+    if (budget != nullptr) {
+      {
+        std::unique_lock<std::mutex> lock(turn_mutex);
+        turn_cv.wait(lock, [&] { return turn == k; });
+        landed.budget_lease = make_budget_lease(
+            budget, b.wire_estimate, AdmissionLane::kBackground, hint[k]);
+        ++turn;
+      }
+      turn_cv.notify_all();
+    }
+    StatusOr<std::vector<Bytes>> got =
+        registry.download_batch(b.fps, p, &landed.wire_bytes);
+    if (!got.ok()) {
+      // Name the member the registry blamed (kNotFound names its
+      // fingerprint), else the batch's first file.
+      std::size_t bad = 0;
+      for (std::size_t j = 0; j < b.fps.size(); ++j) {
+        if (got.message().find(b.fps[j].hex()) != std::string::npos) {
+          bad = j;
+          break;
+        }
+      }
+      const FetchItem& item = items[first[k] + bad];
+      throw_error(got.code(), what + ": " + item.path + " (" +
+                                  item.fingerprint.hex() +
+                                  "): " + got.message());
+    }
+    if (got->size() != b.fps.size()) {
+      const FetchItem& item = items[first[k]];
+      throw_error(ErrorCode::kInternal,
+                  what + ": " + item.path + " (" + item.fingerprint.hex() +
+                      "): batch of " + std::to_string(b.fps.size()) +
+                      " answered with " + std::to_string(got->size()));
+    }
+    landed.contents = std::move(got).value();
+    return landed;
+  };
+  auto account = [&](const PrefetchBatch& b, FetchedBatch landed) {
+    const std::size_t base = first[index_of(b)];
+    for (std::size_t j = 0; j < landed.contents.size(); ++j) {
+      land(base + j, std::move(landed.contents[j]));
+    }
+  };
+  drain_batches(batches, pool, 4 * kFetchBatchBytes, fetch, account);
+}
 
 LocalRuntime::LocalRuntime(docker::DockerRegistry& index_registry,
                            FileRegistryApi& file_registry,
@@ -132,29 +225,20 @@ std::pair<std::size_t, std::uint64_t> LocalRuntime::prefetch(
   }
 
   PrefetchPlan plan = build_prefetch_plan(index, order, previous, profile_ptr);
-  // Smallest-remaining-first key for host-wide admission: the bytes this
-  // prefetch still has to move.
-  std::uint64_t remaining = 0;
-  for (const PrefetchItem& item : plan.items) {
-    if (!store_.cache_contains(item.fingerprint)) remaining += item.size;
+  std::vector<FetchItem> wanted;
+  for (PrefetchItem& item : plan.items) {
+    if (store_.cache_contains(item.fingerprint)) continue;
+    wanted.push_back({std::move(item.path), item.fingerprint, item.size});
   }
   std::size_t fetched = 0;
   std::uint64_t bytes = 0;
-  for (const PrefetchItem& item : plan.items) {
-    if (store_.cache_contains(item.fingerprint)) continue;
-    BudgetLease lease(host_budget_, item.size, AdmissionLane::kBackground,
-                      remaining);
-    remaining -= item.size;
-    StatusOr<Bytes> content = file_registry_.download(item.fingerprint);
-    if (!content.ok()) {
-      throw_error(content.code(), "prefetch of " + item.path + " (" +
-                                      item.fingerprint.hex() + "): " +
-                                      content.message());
-    }
-    bytes += content->size();
-    ++fetched;
-    store_.cache_put(item.fingerprint, std::move(content).value());
-  }
+  fetch_batched(file_registry_, wanted, pool_, host_budget_,
+                "prefetch of " + reference,
+                [&](std::size_t i, Bytes content) {
+                  bytes += content.size();
+                  ++fetched;
+                  store_.cache_put(wanted[i].fingerprint, content);
+                });
   // Link every still-unmaterialized stub path from the now-warm cache.
   index.walk([&](const std::string& path, const vfs::FileNode& node) {
     if (!node.is_fingerprint()) return;

@@ -18,7 +18,9 @@
 // root resumes exactly where the previous process stopped.
 #pragma once
 
+#include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,8 +30,36 @@
 #include "gear/fs_store.hpp"
 #include "gear/prefetch.hpp"
 #include "gear/registry_api.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gear {
+
+/// One file of a batched read: what to fetch and what errors name.
+struct FetchItem {
+  std::string path;  // a tree path referencing the fingerprint
+  Fingerprint fingerprint;
+  std::uint64_t size = 0;  // raw (stub) size: batch caps and budget charge
+};
+
+/// Raw bytes per download batch of the read path. Keeps every response
+/// frame well under TcpTransport's frame limit; a larger file travels alone.
+inline constexpr std::uint64_t kFetchBatchBytes = 16ull << 20;
+
+/// The runtime read path, shared by prefetch and gearctl export. Fetches
+/// `items` (distinct fingerprints) through `registry.download_batch` in
+/// batches cut at kDownloadBatchFiles files, at kFetchBatchBytes and, under
+/// a `budget`, at its byte budget. Batches drain through drain_batches:
+/// with a `pool`, later batches go on the wire while earlier ones
+/// decompress. Each batch holds one background-lane lease on `budget` from
+/// before its request until it has landed; leases are taken in batch order,
+/// keyed by the bytes still to move. `land(i, content)` runs on the
+/// caller's thread in item order. A failed batch throws a gear::Error that
+/// starts with `what` and names the failing path and fingerprint.
+void fetch_batched(FileRegistryApi& registry,
+                   const std::vector<FetchItem>& items,
+                   util::ThreadPool* pool, HostBudget* budget,
+                   const std::string& what,
+                   const std::function<void(std::size_t, Bytes)>& land);
 
 class LocalRuntime {
  public:
@@ -76,8 +106,10 @@ class LocalRuntime {
   /// on-disk cache in priority order (gear/prefetch): delta vs the newest
   /// other installed version of the series, then the persisted access
   /// profiles of the whole series, then fan-in/size tie-breakers. Files are
-  /// hard-linked into the image directory afterwards. Returns (files
-  /// fetched from the registry, bytes moved).
+  /// hard-linked into the image directory afterwards. The uncached files
+  /// move through fetch_batched: ⌈N/kDownloadBatchFiles⌉ download frames
+  /// for N small files. Returns (files fetched from the registry, bytes
+  /// moved).
   std::pair<std::size_t, std::uint64_t> prefetch(
       const std::string& reference,
       PrefetchOrder order = PrefetchOrder::kDelta);
@@ -88,6 +120,10 @@ class LocalRuntime {
   /// budget must outlive the runtime; null = ungoverned (the default).
   void set_host_budget(HostBudget* budget) { host_budget_ = budget; }
   HostBudget* host_budget() const noexcept { return host_budget_; }
+
+  /// Pool for prefetch's overlapped drain and decompression (gearctl
+  /// --workers). Must outlive the runtime; null = serial (the default).
+  void set_pool(util::ThreadPool* pool) { pool_ = pool; }
 
   FsStore& store() noexcept { return store_; }
 
@@ -106,6 +142,7 @@ class LocalRuntime {
   FileRegistryApi& file_registry_;
   FsStore store_;
   HostBudget* host_budget_ = nullptr;  // not owned
+  util::ThreadPool* pool_ = nullptr;   // not owned
 };
 
 }  // namespace gear

@@ -177,6 +177,10 @@ class DemandScope {
   std::uint64_t bytes_;
 };
 
+/// Files per bulk download round-trip: the default width of every batched
+/// fetch (GearClient's download_batch_files, the LocalRuntime read path).
+inline constexpr std::size_t kDownloadBatchFiles = 64;
+
 /// One wire batch of a prefetch drain, as formed by the client (bounded by
 /// download_batch_files and the in-flight wire budget).
 struct PrefetchBatch {

@@ -286,8 +286,9 @@ else test $? -eq 2; fi
 # --- TCP registry daemon (serve / --remote) -------------------------------
 # Two real OS processes: a `gearctl serve` daemon owning the object store,
 # and client invocations dialing it with --remote. Covers push over TCP,
-# a daemon restart with zero re-upload, byte-identical export through the
-# socket, remote stats, and clean SIGTERM shutdown.
+# a daemon restart with zero re-upload, byte-identical export and lazy
+# launch through the socket, a clean failure on a missing object, remote
+# stats, and clean SIGTERM shutdown.
 NSTORE="$WORK/nstore"   # client side: docker snapshot only
 NOBJ="$WORK/nobj"       # daemon side: the durable object store
 NOUT="$WORK/nout"
@@ -333,6 +334,36 @@ wait_serving "$WORK/serve2.out"
 diff -r "$SRC" "$NOUT"
 test "$("$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" \
   cat net:v1 app/hello.txt)" = "hello from gearctl"
+
+# The runtime over TCP: a lazy launch backfills every file through the
+# daemon, and the materialized files/ tree holds exactly the source's
+# regular files, byte for byte.
+"$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" launch --lazy net:v1 \
+  > "$WORK/nlaunch.out"
+NFILES="$NSTORE/local/images/net_v1/files"
+(cd "$SRC" && find . -type f | sort) > "$WORK/src.list"
+(cd "$NFILES" && find . -type f | sort) > "$WORK/nfiles.list"
+diff "$WORK/src.list" "$WORK/nfiles.list"
+while read -r F; do cmp "$SRC/$F" "$NFILES/$F"; done < "$WORK/src.list"
+
+# A missing object fails export cleanly: exit 1, the path named on stderr,
+# and no half-written export directory. The daemon indexes its store when
+# it opens, so restart it over the damaged store.
+BLOB_FP="$("$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" \
+  run net:v1 app/blob.bin | sed -n 's/^  app\/blob\.bin: .*, \([0-9a-f]*\))$/\1/p')"
+test -n "$BLOB_FP"
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID"
+rm "$NOBJ/objects/$BLOB_FP"*
+"$GEARCTL" serve --addr "127.0.0.1:$PORT" --store-dir "$NOBJ" \
+  > "$WORK/serve3.out" 2> "$WORK/serve3.err" &
+SERVE_PID=$!
+wait_serving "$WORK/serve3.out"
+if "$GEARCTL" --remote "127.0.0.1:$PORT" "$NSTORE" export net:v1 \
+  "$WORK/nbad" 2> "$WORK/nbad.err"
+then exit 1; else test $? -eq 1; fi
+grep -q "app/blob.bin" "$WORK/nbad.err"
+test ! -e "$WORK/nbad"
 
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"

@@ -36,6 +36,44 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(whole, split);
 }
 
+/// Bit-at-a-time CRC-32 straight from the definition (reflected
+/// polynomial, init and final xor 0xFFFFFFFF): the reference the
+/// table-driven implementation must match.
+std::uint32_t bitwise_crc32(BytesView data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::uint8_t byte : data) {
+    c ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SlicedMatchesBitwiseAtEveryLengthAndOffset) {
+  Rng rng(3);
+  const Bytes data = rng.next_bytes(256 + 8, 0.0);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      const BytesView view(data.data() + offset, len);
+      ASSERT_EQ(crc32(view), bitwise_crc32(view))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, SplitAtEveryPointMatchesOneShot) {
+  Rng rng(4);
+  const Bytes data = rng.next_bytes(64, 0.0);
+  const std::uint32_t whole = crc32(data);
+  for (std::size_t cut = 0; cut <= data.size(); ++cut) {
+    const std::uint32_t split = crc32_update(
+        crc32(BytesView(data.data(), cut)),
+        BytesView(data.data() + cut, data.size() - cut));
+    ASSERT_EQ(split, whole) << "split at " << cut;
+  }
+}
+
 TEST(Crc32, DetectsSingleBitFlip) {
   Rng rng(2);
   Bytes data = rng.next_bytes(500);

@@ -29,6 +29,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -54,8 +55,8 @@ using namespace gear;
 
 namespace {
 
-/// Worker budget for import's fingerprinting/compression (--workers N;
-/// 0 = one thread per hardware core).
+/// Worker budget for import's fingerprinting/compression and for batched
+/// reads (--workers N; 0 = one thread per hardware core).
 util::Concurrency g_concurrency;
 
 /// --range-batch N: chunk indices per download_chunks batch in ranged cat.
@@ -230,19 +231,45 @@ GearRegistry* require_single(Store& store, const char* cmd) {
 }
 
 GearIndex load_index_of(Store& store, const std::string& ref) {
-  docker::Manifest manifest = store.docker.get_manifest(ref).value();
-  if (manifest.config.labels.count(kGearIndexLabel) == 0 ||
-      manifest.layers.size() != 1) {
+  StatusOr<docker::Manifest> manifest = store.docker.get_manifest(ref);
+  if (!manifest.ok()) {
+    throw Error(manifest.code(),
+                "manifest of " + ref + ": " + manifest.message());
+  }
+  if (manifest->config.labels.count(kGearIndexLabel) == 0 ||
+      manifest->layers.size() != 1) {
     throw Error(ErrorCode::kInvalidArgument, ref + " is not a Gear image");
   }
-  docker::Layer layer = docker::Layer::from_blob(
-      store.docker.get_blob(manifest.layers[0].digest).value(),
-      manifest.layers[0].digest);
+  const docker::Digest& digest = manifest->layers[0].digest;
+  StatusOr<Bytes> blob = store.docker.get_blob(digest);
+  if (!blob.ok()) {
+    throw Error(blob.code(), "index layer of " + ref + " (" +
+                                 digest.to_string() + "): " + blob.message());
+  }
+  docker::Layer layer = docker::Layer::from_blob(std::move(blob).value(),
+                                                 digest);
   return GearIndex::from_wire_tree(layer.to_tree());
 }
 
-Bytes fetch_file(Store& store, const Fingerprint& fp) {
-  return store.files().download(fp).value();
+/// One file of `ref` at `path`, fetched from the gear-file registry.
+Bytes fetch_file(Store& store, const std::string& ref, const std::string& path,
+                 const Fingerprint& fp) {
+  StatusOr<Bytes> content = store.files().download(fp);
+  if (!content.ok()) {
+    throw Error(content.code(), "fetch of " + ref + ": " + path + " (" +
+                                    fp.hex() + "): " + content.message());
+  }
+  return std::move(content).value();
+}
+
+/// The pool for batched reads (launch --lazy backfill, prefetch, export),
+/// sized by --workers; null when that resolves to a single worker.
+util::ThreadPool* read_pool() {
+  static const std::unique_ptr<util::ThreadPool> pool =
+      g_concurrency.resolved_workers() > 1
+          ? std::make_unique<util::ThreadPool>(g_concurrency.resolved_workers())
+          : nullptr;
+  return pool.get();
 }
 
 int cmd_init(Store& store) {
@@ -356,7 +383,7 @@ int cmd_cat(Store& store, const std::string& ref, const std::string& path) {
     std::fprintf(stderr, "not a regular file: %s\n", path.c_str());
     return 1;
   }
-  Bytes content = fetch_file(store, node->fingerprint());
+  Bytes content = fetch_file(store, ref, path, node->fingerprint());
   std::fwrite(content.data(), 1, content.size(), stdout);
   return 0;
 }
@@ -375,7 +402,7 @@ int cmd_cat_range(Store& store, const std::string& ref, const std::string& path,
   }
   Fingerprint fp = node->fingerprint();
   if (!store.files().is_chunked(fp)) {
-    Bytes content = fetch_file(store, fp);
+    Bytes content = fetch_file(store, ref, path, fp);
     if (offset + length > content.size()) {
       std::fprintf(stderr, "range out of bounds for %s\n", path.c_str());
       return 1;
@@ -424,9 +451,20 @@ int cmd_cat_range(Store& store, const std::string& ref, const std::string& path,
 
 int cmd_export(Store& store, const std::string& ref, const std::string& dir) {
   GearIndex index = load_index_of(store, ref);
-  // Materialize: stubs -> contents.
+  // Directories and symlinks go straight into the output tree; the stubs
+  // are collected (one fetch per distinct fingerprint) and fetched in
+  // batches before anything is written.
   vfs::FileTree out;
   out.root().metadata() = index.tree().root().metadata();
+  struct Stub {
+    std::string path;
+    std::size_t item;
+    const vfs::FileNode* node;
+  };
+  std::vector<Stub> stubs;
+  std::vector<FetchItem> items;
+  std::vector<std::size_t> refs;  // stubs per item
+  std::unordered_map<Fingerprint, std::size_t, FingerprintHash> item_of;
   index.tree().walk([&](const std::string& path, const vfs::FileNode& node) {
     switch (node.type()) {
       case vfs::NodeType::kDirectory:
@@ -435,14 +473,33 @@ int cmd_export(Store& store, const std::string& ref, const std::string& dir) {
       case vfs::NodeType::kSymlink:
         out.add_symlink(path, node.link_target(), node.metadata());
         break;
-      case vfs::NodeType::kFingerprint:
-        out.add_file(path, fetch_file(store, node.fingerprint()),
-                     node.metadata());
+      case vfs::NodeType::kFingerprint: {
+        auto [it, inserted] =
+            item_of.emplace(node.fingerprint(), items.size());
+        if (inserted) {
+          items.push_back({path, node.fingerprint(), node.stub_size()});
+          refs.push_back(0);
+        }
+        ++refs[it->second];
+        stubs.push_back({path, it->second, &node});
         break;
+      }
       default:
         break;
     }
   });
+  std::vector<Bytes> contents(items.size());
+  fetch_batched(store.files(), items, read_pool(), g_host_budget.get(),
+                "export of " + ref,
+                [&](std::size_t i, Bytes content) {
+                  contents[i] = std::move(content);
+                });
+  for (const Stub& stub : stubs) {
+    Bytes& content = contents[stub.item];
+    out.add_file(stub.path,
+                 --refs[stub.item] == 0 ? std::move(content) : content,
+                 stub.node->metadata());
+  }
   vfs::write_tree(out, dir);
   std::printf("exported %s to %s (%s)\n", ref.c_str(), dir.c_str(),
               format_size(out.stats().total_file_bytes).c_str());
@@ -480,13 +537,17 @@ int cmd_run(Store& store, const std::string& ref,
     Fingerprint fp = node->fingerprint();
     const char* source = "cache";
     if (!local.cache_contains(fp)) {
-      local.cache_put(fp, store.files().download(fp).value());
+      local.cache_put(fp, fetch_file(store, ref, path, fp));
       source = "registry";
     }
     local.link_file(ref, path, fp);
-    Bytes content = local.read_materialized(ref, path).value();
+    StatusOr<Bytes> content = local.read_materialized(ref, path);
+    if (!content.ok()) {
+      throw Error(content.code(), "run of " + ref + ": " + path + " (" +
+                                      fp.hex() + "): " + content.message());
+    }
     std::printf("  %s: %s (%s, nlink=%llu, %s)\n", path.c_str(),
-                format_size(content.size()).c_str(), source,
+                format_size(content->size()).c_str(), source,
                 static_cast<unsigned long long>(local.link_count(fp)),
                 fp.hex().substr(0, 12).c_str());
   }
@@ -505,6 +566,7 @@ LocalRuntime make_runtime(Store& store) {
     runtime.store().set_cache_capacity(g_cache_capacity_bytes, g_eviction);
   }
   if (g_host_budget) runtime.set_host_budget(g_host_budget.get());
+  runtime.set_pool(read_pool());
   return runtime;
 }
 
@@ -541,7 +603,6 @@ int cmd_launch(Store& store, const std::string& ref, bool lazy) {
   LocalRuntime runtime = make_runtime(store);
   runtime.pull(ref);
   std::string container = runtime.launch(ref);
-  store.save();  // the pull may have cached nothing, but keep state coherent
   std::printf("%s\n", container.c_str());
   if (lazy) {
     // Start-before-warm: the container id above is usable the moment the
@@ -549,7 +610,6 @@ int cmd_launch(Store& store, const std::string& ref, bool lazy) {
     // the remaining files in priority order after readiness is reported.
     std::fflush(stdout);
     auto [files, bytes] = runtime.prefetch(ref, g_prefetch_order);
-    store.save();
     std::fprintf(stderr, "backfilled %s (%s order): %zu files, %s\n",
                  ref.c_str(), prefetch_order_name(g_prefetch_order), files,
                  format_size(bytes).c_str());
@@ -583,7 +643,6 @@ int cmd_prefetch(Store& store, const std::string& ref) {
   LocalRuntime runtime = make_runtime(store);
   if (!runtime.has_image(ref)) runtime.pull(ref);
   auto [files, bytes] = runtime.prefetch(ref, g_prefetch_order);
-  store.save();
   std::printf("prefetched %s (%s order): %zu files, %s\n", ref.c_str(),
               prefetch_order_name(g_prefetch_order), files,
               format_size(bytes).c_str());
@@ -940,7 +999,8 @@ int usage() {
                "       gearctl cluster-sim [--sites N] [--nodes-per-site N] "
                "[--wan-mbps F] [--lan-mbps F] [--mode eager|lazy] [--churn]\n"
                "  --workers N      worker threads for import's fingerprinting/"
-               "compression (default: one per core)\n"
+               "compression and for batched reads (launch --lazy, prefetch, "
+               "export; default: one per core)\n"
                "  --store-dir PATH durable on-disk object store for the gear "
                "files (survives restarts; default: in-memory + snapshot)\n"
                "  --shards N       route the gear files over a fleet of N "
