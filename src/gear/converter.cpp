@@ -56,11 +56,15 @@ Fingerprint GearConverter::resolve_fingerprint(
 }
 
 ConversionResult GearConverter::convert(const docker::Image& image) const {
+  return convert(image.flatten(), image.manifest.name, image.manifest.tag,
+                 image.manifest.config);
+}
+
+ConversionResult GearConverter::convert(const vfs::FileTree& root,
+                                        std::string name, std::string tag,
+                                        docker::ImageConfig config) const {
   ConversionResult result;
   ConversionStats& stats = result.stats;
-
-  // Replay layers bottom-to-top into the full root filesystem.
-  vfs::FileTree root = image.flatten();
 
   // Parallel pre-pass: hash every regular file across the pool. Contents are
   // collected in walk order, so `raw[i]` lines up with the i-th regular file
@@ -109,12 +113,11 @@ ConversionResult GearConverter::convert(const docker::Image& image) const {
 
   // Package the index as a single-layer Docker image with the original
   // config (env/entrypoint copied so the application still runs, §III-C).
-  docker::ImageConfig config = image.manifest.config;
   config.labels[kGearIndexLabel] = "1";
   docker::ImageBuilder builder;
   builder.add_snapshot(index.to_wire_tree());
   docker::Image index_image =
-      builder.build(image.manifest.name, image.manifest.tag, std::move(config));
+      builder.build(std::move(name), std::move(tag), std::move(config));
   stats.index_wire_bytes = index_image.compressed_size();
 
   result.image.index_image = std::move(index_image);

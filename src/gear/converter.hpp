@@ -1,11 +1,13 @@
-// Gear Converter: turns a layered Docker image into a Gear image.
+// Gear Converter: turns a root filesystem into a Gear image.
 //
-// Runs registry-side, once per image (paper §III-B): decompress the image's
-// layers bottom-to-top, replay them into the full root filesystem (applying
-// whiteouts), then walk the tree building the Gear index and the set of
-// unique Gear files. The index is packaged as a single-layer Docker image
-// carrying the original image's config (env/entrypoint), so Docker tooling
-// stores and distributes it unchanged (paper §III-C).
+// Runs registry-side, once per image (paper §III-B): walk the root
+// filesystem building the Gear index and the set of unique Gear files. A
+// layered Docker image is first flattened (decompress the layers
+// bottom-to-top, replay them applying whiteouts); a directory import
+// (gearctl) hands its tree over directly, with no layers built. The index
+// is packaged as a single-layer Docker image carrying the original image's
+// config (env/entrypoint), so Docker tooling stores and distributes it
+// unchanged (paper §III-C).
 //
 // Collision handling (paper §III-B): when two different contents map to the
 // same fingerprint — impossible in practice with MD5, but exercised in tests
@@ -18,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 
 #include "docker/image.hpp"
@@ -34,6 +37,9 @@ struct ConversionStats {
   std::size_t collisions = 0;       // salted unique IDs assigned
   std::uint64_t bytes_seen = 0;     // logical file bytes
   std::uint64_t index_wire_bytes = 0;  // compressed index layer size
+
+  friend bool operator==(const ConversionStats&,
+                         const ConversionStats&) = default;
 };
 
 struct ConversionResult {
@@ -52,9 +58,14 @@ class GearConverter {
       std::function<std::optional<Bytes>(const Fingerprint&)> existing_lookup =
           nullptr);
 
-  /// Converts `image`. The index image is named "<name>:<tag>" with the
-  /// original config copied over; its manifest is distinguishable from a
-  /// classic image by the "gear.index" label.
+  /// Converts the root filesystem `root`. The index image is named
+  /// "<name>:<tag>" and carries `config`; its manifest is distinguishable
+  /// from a classic image by the "gear.index" label.
+  ConversionResult convert(const vfs::FileTree& root, std::string name,
+                           std::string tag, docker::ImageConfig config) const;
+
+  /// Converts a layered image: its flattened tree, under its manifest's
+  /// name, tag and config.
   ConversionResult convert(const docker::Image& image) const;
 
   /// Converts while charging the work to a disk model: reading the

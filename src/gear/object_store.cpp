@@ -154,10 +154,6 @@ bool is_hex_name(std::string_view name) {
   return true;
 }
 
-bool is_temp_name(const std::string& name) {
-  return name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0;
-}
-
 }  // namespace
 
 DiskObjectStore::DiskObjectStore(fs::path root) : root_(std::move(root)) {
@@ -166,7 +162,7 @@ DiskObjectStore::DiskObjectStore(fs::path root) : root_(std::move(root)) {
 
   for (const auto& entry : fs::directory_iterator(root_ / "objects")) {
     std::string name = entry.path().filename().string();
-    if (is_temp_name(name)) {
+    if (is_durable_temp(name)) {
       // Torn write from a crash mid-upload: the object was never renamed
       // into place, so it never existed as far as readers are concerned.
       fs::remove(entry.path());
@@ -182,7 +178,7 @@ DiskObjectStore::DiskObjectStore(fs::path root) : root_(std::move(root)) {
 
   for (const auto& entry : fs::directory_iterator(root_ / "chunked")) {
     std::string name = entry.path().filename().string();
-    if (is_temp_name(name)) {
+    if (is_durable_temp(name)) {
       fs::remove(entry.path());
       ++reaped_temps_;
       continue;

@@ -1,71 +1,66 @@
 #include "gear/persistence.hpp"
 
-#include "compress/codec.hpp"
+#include <unordered_set>
+
 #include "gear/fs_store.hpp"  // sanitize_reference
 #include "util/file_io.hpp"
 
 namespace gear {
 namespace fs = std::filesystem;
 
+namespace {
+
+/// Unlinks every entry of `dir` not named in `keep`: entries the registry
+/// no longer holds, and torn temps from an interrupted save.
+void unlink_stale(const fs::path& dir,
+                  const std::unordered_set<std::string>& keep) {
+  std::vector<fs::path> stale;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (keep.count(entry.path().filename().string()) == 0) {
+      stale.push_back(entry.path());
+    }
+  }
+  for (const fs::path& path : stale) fs::remove(path);
+}
+
+}  // namespace
+
 PersistReport save_docker_registry(const docker::DockerRegistry& registry,
                                    const fs::path& root) {
-  PersistReport report;
-  // Full snapshot semantics: anything removed from the in-memory registry
-  // (deleted manifests, GC-swept blobs) must disappear on disk too.
-  fs::remove_all(root / "docker");
-  fs::create_directories(root / "docker" / "blobs");
-  fs::create_directories(root / "docker" / "manifests");
+  const fs::path blobs = root / "docker" / "blobs";
+  const fs::path manifests = root / "docker" / "manifests";
+  fs::create_directories(blobs);
+  fs::create_directories(manifests);
 
+  // Blobs land before the manifests that name them, and stale manifests go
+  // before stale blobs, so no crash point leaves a manifest without its
+  // blobs on disk.
+  PersistReport report;
+  std::unordered_set<std::string> blob_names;
   for (const docker::Digest& digest : registry.list_blobs()) {
-    write_file_bytes(root / "docker" / "blobs" / digest.hex(),
-                     unwrap(registry.get_blob(digest),
-                            "save: docker blob " + digest.hex()));
+    std::string name = digest.hex();
+    fs::path path = blobs / name;
+    if (!fs::exists(path)) {  // content-addressed: same name, same bytes
+      write_file_durable(path, unwrap(registry.get_blob(digest),
+                                      "save: docker blob " + name));
+    }
+    blob_names.insert(std::move(name));
     ++report.blobs;
   }
+  std::unordered_set<std::string> manifest_names;
   for (const std::string& ref : registry.list_manifests()) {
-    std::string json = unwrap(registry.get_manifest_json(ref),
-                              "save: docker manifest " + ref);
-    write_file_bytes(
-        root / "docker" / "manifests" / (sanitize_reference(ref) + ".json"),
-        to_bytes(json));
+    std::string name = sanitize_reference(ref) + ".json";
+    fs::path path = manifests / name;
+    Bytes json = to_bytes(unwrap(registry.get_manifest_json(ref),
+                                 "save: docker manifest " + ref));
+    if (!fs::exists(path) || read_file_bytes(path) != json) {
+      write_file_durable(path, json);
+    }
+    manifest_names.insert(std::move(name));
     ++report.manifests;
   }
-  return report;
-}
-
-PersistReport save_gear_registry(const GearRegistry& registry,
-                                 const fs::path& root) {
-  PersistReport report;
-  fs::remove_all(root / "gear");
-  fs::create_directories(root / "gear" / "objects");
-  fs::create_directories(root / "gear" / "chunked");
-
-  const ObjectStore& store = registry.store();
-  for (const Fingerprint& fp : store.list_objects()) {
-    // list_objects() covers plain files AND individual chunks; both are
-    // written decompressed and re-compressed deterministically on load.
-    write_file_bytes(
-        root / "gear" / "objects" / fp.hex(),
-        decompress(unwrap(store.get(fp), "save: gear object " + fp.hex())));
-    ++report.objects;
-  }
-  for (const Fingerprint& fp : store.list_manifests()) {
-    write_file_bytes(root / "gear" / "chunked" / (fp.hex() + ".gcm"),
-                     unwrap(store.get_manifest(fp),
-                            "save: chunk manifest " + fp.hex())
-                         .serialize());
-    ++report.chunk_manifests;
-  }
-  return report;
-}
-
-PersistReport save_registries(const docker::DockerRegistry& docker_registry,
-                              const GearRegistry& gear_registry,
-                              const fs::path& root) {
-  PersistReport report = save_docker_registry(docker_registry, root);
-  PersistReport gear = save_gear_registry(gear_registry, root);
-  report.objects = gear.objects;
-  report.chunk_manifests = gear.chunk_manifests;
+  unlink_stale(manifests, manifest_names);
+  unlink_stale(blobs, blob_names);
   return report;
 }
 
@@ -77,58 +72,21 @@ PersistReport load_docker_registry(const fs::path& root,
   }
   PersistReport report;
   for (const auto& entry : fs::directory_iterator(root / "docker" / "blobs")) {
+    std::string name = entry.path().filename().string();
+    if (is_durable_temp(name)) continue;  // torn write: never renamed in
     Bytes blob = read_file_bytes(entry.path());
-    docker::Digest digest =
-        docker::Digest::from_string(entry.path().filename().string());
-    registry->put_blob(digest, std::move(blob));  // verifies digest
+    registry->put_blob(docker::Digest::from_string(name),
+                       std::move(blob));  // verifies digest
     ++report.blobs;
   }
   for (const auto& entry :
        fs::directory_iterator(root / "docker" / "manifests")) {
+    if (is_durable_temp(entry.path().filename().string())) continue;
     std::string json = to_string(read_file_bytes(entry.path()));
     docker::Manifest manifest = docker::Manifest::from_json_string(json);
     registry->put_manifest_json(manifest.reference(), std::move(json));
     ++report.manifests;
   }
-  return report;
-}
-
-PersistReport load_gear_registry(const fs::path& root,
-                                 GearRegistry* registry) {
-  if (!fs::is_directory(root / "gear")) {
-    throw_error(ErrorCode::kNotFound,
-                "no persisted gear registry at " + root.string());
-  }
-  PersistReport report;
-  for (const auto& entry : fs::directory_iterator(root / "gear" / "objects")) {
-    Fingerprint fp = Fingerprint::from_hex(entry.path().filename().string());
-    registry->upload(fp, read_file_bytes(entry.path()));
-    ++report.objects;
-  }
-  for (const auto& entry : fs::directory_iterator(root / "gear" / "chunked")) {
-    std::string name = entry.path().filename().string();
-    if (name.size() < 5) {
-      throw_error(ErrorCode::kCorruptData, "bad chunk manifest name: " + name);
-    }
-    Fingerprint fp = Fingerprint::from_hex(name.substr(0, name.size() - 4));
-    registry->restore_chunked(
-        fp, ChunkManifest::parse(read_file_bytes(entry.path())));
-    ++report.chunk_manifests;
-  }
-  return report;
-}
-
-PersistReport load_registries(const fs::path& root,
-                              docker::DockerRegistry* docker_registry,
-                              GearRegistry* gear_registry) {
-  if (!fs::is_directory(root / "docker") || !fs::is_directory(root / "gear")) {
-    throw_error(ErrorCode::kNotFound,
-                "no persisted registries at " + root.string());
-  }
-  PersistReport report = load_docker_registry(root, docker_registry);
-  PersistReport gear = load_gear_registry(root, gear_registry);
-  report.objects = gear.objects;
-  report.chunk_manifests = gear.chunk_manifests;
   return report;
 }
 

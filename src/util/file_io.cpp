@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 
 #include "util/error.hpp"
 
@@ -34,6 +35,8 @@ void write_file_bytes(const std::filesystem::path& path, BytesView content) {
 
 namespace {
 
+constexpr std::string_view kTempSuffix = ".tmp";
+
 [[noreturn]] void throw_errno(const std::string& what,
                               const std::filesystem::path& path) {
   throw_error(ErrorCode::kInternal,
@@ -55,7 +58,7 @@ void fsync_path(const std::filesystem::path& path, int open_flags) {
 }  // namespace
 
 void write_file_durable(const std::filesystem::path& path, BytesView content) {
-  const std::filesystem::path tmp = path.string() + ".tmp";
+  const std::filesystem::path tmp = path.string().append(kTempSuffix);
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) throw_errno("cannot create", tmp);
   std::size_t written = 0;
@@ -82,6 +85,12 @@ void write_file_durable(const std::filesystem::path& path, BytesView content) {
   }
   // The rename itself must be durable: sync the containing directory.
   fsync_path(path.parent_path(), O_RDONLY | O_DIRECTORY);
+}
+
+bool is_durable_temp(const std::string& name) {
+  return name.size() > kTempSuffix.size() &&
+         name.compare(name.size() - kTempSuffix.size(), kTempSuffix.size(),
+                      kTempSuffix) == 0;
 }
 
 }  // namespace gear

@@ -1,8 +1,9 @@
 // Small filesystem I/O helpers shared by the on-disk backends
-// (gear/fs_store, gear/persistence, vfs/fs_io).
+// (gear/fs_store, gear/object_store, gear/persistence, vfs/fs_io).
 #pragma once
 
 #include <filesystem>
+#include <string>
 
 #include "util/bytes.hpp"
 
@@ -21,5 +22,9 @@ void write_file_bytes(const std::filesystem::path& path, BytesView content);
 /// complete content, never a torn prefix; an interrupted write leaves only a
 /// "<name>.tmp" sibling. Throws Error(kInternal) on failure.
 void write_file_durable(const std::filesystem::path& path, BytesView content);
+
+/// True for a file name write_file_durable uses as its temp ("<name>.tmp"):
+/// a leftover one is a torn write that readers must skip.
+bool is_durable_temp(const std::string& name);
 
 }  // namespace gear

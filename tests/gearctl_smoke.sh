@@ -21,6 +21,10 @@ ln -s ../etc/app.conf "$SRC/app/conf-link"
 
 "$GEARCTL" "$STORE" init
 "$GEARCTL" "$STORE" import "$SRC" demo:v1
+# The Gear files live in the store's own DiskObjectStore, every write
+# completed (no torn temps).
+test -n "$(ls "$STORE/gear/objects")"
+test -z "$(find "$STORE/gear" -name '*.tmp')"
 "$GEARCTL" "$STORE" images | grep -q "demo:v1"
 "$GEARCTL" "$STORE" inspect demo:v1 | grep -q "files:"
 test "$("$GEARCTL" "$STORE" cat demo:v1 app/hello.txt)" = "hello from gearctl"
@@ -48,6 +52,29 @@ test "$("$GEARCTL" "$STORE" cat demo:patched app/note.txt)" = "patched"
 "$GEARCTL" "$STORE" rm demo:patched
 "$GEARCTL" "$STORE" gc | grep -q "swept"
 "$GEARCTL" "$STORE" stats | grep -q "0 objects"
+
+# A store that was never initialized is an error (exit 1) that creates
+# nothing, not even the object store a --store-dir names.
+if "$GEARCTL" "$WORK/missing" stats 2>/dev/null; then exit 1
+else test $? -eq 1; fi
+test ! -e "$WORK/missing"
+if "$GEARCTL" --store-dir "$WORK/missing-obj" "$WORK/missing" stats \
+  2>/dev/null
+then exit 1; else test $? -eq 1; fi
+test ! -e "$WORK/missing" && test ! -e "$WORK/missing-obj"
+
+# A store left by the retired snapshot format kept decompressed files under
+# the same object names. It is not migrated: reading such an object fails
+# cleanly (exit 1) instead of serving wrong bytes.
+OSTORE="$WORK/ostore"
+"$GEARCTL" "$OSTORE" init
+"$GEARCTL" "$OSTORE" import "$SRC" old:v1 > /dev/null
+HELLO_FP="$("$GEARCTL" "$OSTORE" run old:v1 app/hello.txt \
+  | sed -n 's/^  app\/hello\.txt: .*, \([0-9a-f]*\))$/\1/p')"
+test -n "$HELLO_FP"
+for F in "$OSTORE/gear/objects/$HELLO_FP"*; do cp "$SRC/app/hello.txt" "$F"; done
+if "$GEARCTL" "$OSTORE" cat old:v1 app/hello.txt 2>/dev/null; then exit 1
+else test $? -eq 1; fi
 
 # --- durable on-disk backend (--store-dir) -------------------------------
 # Push into a DiskObjectStore-backed registry, then "restart" (every gearctl
@@ -199,9 +226,17 @@ test "$("$GEARCTL" --store-dir "$FOBJ" --shards 2 "$FSTORE" \
 if "$GEARCTL" --store-dir "$FOBJ" --shards 2 "$FSTORE" gc 2>/dev/null
 then exit 1; else test $? -eq 2; fi
 
-# Flag validation: missing, zero, and non-numeric counts, replicas
-# exceeding shards, and fleet mode without a store dir are all usage
-# errors (exit 2), not crashes.
+# Without --store-dir the fleet lives in the store dir: shard i under
+# <store>/gear/shard-<i>.
+SHSTORE="$WORK/shstore"
+"$GEARCTL" --shards 2 "$SHSTORE" init
+"$GEARCTL" --shards 2 "$SHSTORE" import "$SRC" sh:v1 > /dev/null
+test -d "$SHSTORE/gear/shard-0" && test -d "$SHSTORE/gear/shard-1"
+"$GEARCTL" --shards 2 "$SHSTORE" export sh:v1 "$WORK/shout"
+diff -r "$SRC" "$WORK/shout"
+
+# Flag validation: missing, zero, and non-numeric counts and replicas
+# exceeding shards are all usage errors (exit 2), not crashes.
 if "$GEARCTL" --shards 2>/dev/null; then exit 1; else test $? -eq 2; fi
 if "$GEARCTL" --shards 0 "$FSTORE" stats 2>/dev/null; then exit 1
 else test $? -eq 2; fi
@@ -214,8 +249,6 @@ else test $? -eq 2; fi
 if "$GEARCTL" --store-dir "$FOBJ" --shards 2 --replicas 3 "$FSTORE" stats \
   2>/dev/null
 then exit 1; else test $? -eq 2; fi
-if "$GEARCTL" --shards 2 "$FSTORE" stats 2>/dev/null; then exit 1
-else test $? -eq 2; fi
 
 # --- lazy launch (--lazy) -------------------------------------------------
 # launch --lazy prints the container id immediately (stdout) and reports the

@@ -233,5 +233,78 @@ TEST(Converter, ConversionIsDeterministic) {
             b.image.index_image.layers[0].digest());
 }
 
+// ------------------------------------------------ direct tree conversion
+
+/// A random tree plus what gearctl imports from real directories: an empty
+/// directory, a file larger than one 128 KiB chunk, and non-default
+/// metadata.
+vfs::FileTree import_like_tree(std::uint64_t seed) {
+  vfs::FileTree t = gear::testing::random_tree(seed, 40);
+  t.add_directory("srv/empty/nested", {0755, 0, 0, 1700000000});
+  Rng rng(seed + 100);
+  t.add_file("usr/share/model.bin", rng.next_bytes(300 * 1024, 0.4),
+             {0600, 1000, 1000, 1700000123});
+  t.add_symlink("srv/current", "../usr/share/model.bin");
+  return t;
+}
+
+/// The tree overload (gearctl import) and the layered adapter over a
+/// one-layer image of the same tree must give the same Gear image. Returns
+/// the conversion's stats.
+ConversionStats expect_same_as_layered(const GearConverter& converter,
+                                       const vfs::FileTree& tree) {
+  docker::ImageConfig cfg;
+  cfg.env = {"APP=demo"};
+  cfg.labels["gearctl.import.source"] = "/srv/demo";
+  ConversionResult direct = converter.convert(tree, "demo", "v1", cfg);
+  ConversionResult layered = converter.convert(
+      docker::ImageBuilder().add_snapshot(tree).build("demo", "v1", cfg));
+
+  EXPECT_EQ(direct.image.index_image.manifest,
+            layered.image.index_image.manifest);
+  EXPECT_EQ(direct.image.index_image.layers.size(), 1u);
+  EXPECT_EQ(direct.image.index_image.layers.front().digest(),
+            layered.image.index_image.layers.front().digest());
+  EXPECT_EQ(direct.image.files, layered.image.files);  // same order too
+  EXPECT_EQ(direct.stats, layered.stats);
+  return direct.stats;
+}
+
+TEST(Converter, TreeConversionMatchesLayeredImage) {
+  for (std::uint64_t seed : {600, 601, 602, 603}) {
+    SCOPED_TRACE(seed);
+    vfs::FileTree tree = import_like_tree(seed);
+    expect_same_as_layered(GearConverter(), tree);
+    GearConverter parallel;
+    parallel.set_concurrency({/*workers=*/3});
+    expect_same_as_layered(parallel, tree);
+  }
+}
+
+TEST(Converter, TreeConversionMatchesLayeredImageUnderCollisions) {
+  // An 8-bit hash against a registry already holding other content: the
+  // lookup forces salted unique IDs, which must come out identical.
+  TruncatedFingerprintHasher weak(8);
+  GearRegistry registry;
+  vfs::FileTree stored = gear::testing::random_tree(610, 40);
+  stored.walk([&](const std::string& path, const vfs::FileNode& node) {
+    (void)path;
+    if (node.is_regular()) {
+      registry.upload(weak.fingerprint(node.content()), node.content());
+    }
+  });
+  GearConverter converter(weak, [&registry](const Fingerprint& fp) {
+    StatusOr<Bytes> got = registry.download(fp);
+    return got.ok() ? std::optional<Bytes>(std::move(got).value())
+                    : std::nullopt;
+  });
+  for (std::uint64_t seed : {611, 612}) {
+    SCOPED_TRACE(seed);
+    EXPECT_GT(expect_same_as_layered(converter, import_like_tree(seed))
+                  .collisions,
+              0u);
+  }
+}
+
 }  // namespace
 }  // namespace gear

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
@@ -212,25 +213,48 @@ TEST(DiskObjectStore, ReopenServesEverythingWithNoReupload) {
   policy.threshold_bytes = 2048;
   policy.chunk_bytes = 1024;
   std::vector<Bytes> corpus = make_corpus(23, 25, 5000);
+  // A chunk size above the file size must store the file plain: a
+  // single-chunk manifest would alias the file's fingerprint with its only
+  // chunk's.
+  ChunkPolicy single_chunk;
+  single_chunk.threshold_bytes = 2048;
+  single_chunk.chunk_bytes = 1024 * 1024;
+  Bytes plain = Rng(24).next_bytes(4096, 0.3);
 
   std::uint64_t stored_before = 0;
+  std::map<Fingerprint, ChunkManifest> manifests;
   {
     GearRegistry reg(std::make_unique<DiskObjectStore>(dir));
     for (const Bytes& content : corpus) {
       reg.upload_chunked(fp_of(content), content, policy);
     }
+    reg.upload_chunked(fp_of(plain), plain, single_chunk);
+    EXPECT_FALSE(reg.is_chunked(fp_of(plain)));
+    for (const Fingerprint& fp : reg.list_chunked()) {
+      manifests.emplace(fp, reg.chunk_manifest(fp).value());
+    }
     stored_before = reg.storage_bytes();
   }  // "crash-free shutdown": registry destroyed, files remain
+  ASSERT_FALSE(manifests.empty());
 
   GearRegistry reopened(std::make_unique<DiskObjectStore>(dir));
   EXPECT_EQ(reopened.storage_bytes(), stored_before);
+  EXPECT_EQ(reopened.list_chunked().size(), manifests.size());
   for (const Bytes& content : corpus) {
     Fingerprint fp = fp_of(content);
     EXPECT_TRUE(reopened.query(fp));
     EXPECT_EQ(reopened.download(fp).value(), content);
+    // Chunked files come back chunked, under the same manifest.
+    auto it = manifests.find(fp);
+    ASSERT_EQ(reopened.is_chunked(fp), it != manifests.end());
+    if (it != manifests.end()) {
+      EXPECT_EQ(reopened.chunk_manifest(fp).value(), it->second);
+    }
     // Re-pushing after restart uploads nothing.
     EXPECT_FALSE(reopened.upload_chunked(fp, content, policy));
   }
+  EXPECT_FALSE(reopened.is_chunked(fp_of(plain)));
+  EXPECT_EQ(reopened.download(fp_of(plain)).value(), plain);
   EXPECT_EQ(reopened.stats().uploads_accepted, 0u);
   EXPECT_EQ(reopened.stats().uploads_deduplicated, corpus.size());
   fs::remove_all(dir);
@@ -261,6 +285,27 @@ TEST(DiskObjectStore, CrashMidUploadTornTempsAreIgnoredAndReaped) {
   EXPECT_EQ(reg.download(fp_of(ok1)).value(), ok1);
   EXPECT_EQ(reg.download(fp_of(ok2)).value(), ok2);
   EXPECT_EQ(reg.object_count(), 2u);
+  fs::remove_all(dir);
+}
+
+TEST(DiskObjectStore, DecompressedObjectsFailCleanly) {
+  // The retired gearctl snapshot format kept decompressed objects under the
+  // same names. The store does not migrate them: a read must fail with a
+  // clean error, never hand the raw bytes back as if they were a frame.
+  fs::path dir = fresh_dir("raw_objects");
+  Bytes content = to_bytes("written by the old snapshot format\n");
+  fs::create_directories(dir / "objects");
+  std::ofstream(dir / "objects" / fp_of(content).hex(), std::ios::binary)
+      << to_string(content);
+
+  GearRegistry reg(std::make_unique<DiskObjectStore>(dir));
+  EXPECT_TRUE(reg.query(fp_of(content)));
+  try {
+    (void)reg.download(fp_of(content));
+    ADD_FAILURE() << "raw object decoded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCorruptData);
+  }
   fs::remove_all(dir);
 }
 

@@ -1,12 +1,18 @@
-// Tests for filesystem I/O (directory <-> tree) and registry persistence.
+// Tests for filesystem I/O (directory <-> tree) and the Docker registry
+// snapshot (gear/persistence): round trip, full-snapshot deletes, and the
+// crash-safe incremental save.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <set>
+
+#include <sys/stat.h>
 
 #include "gear/client.hpp"
 #include "gear/converter.hpp"
-#include "gear/gc.hpp"
 #include "gear/persistence.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -117,61 +123,31 @@ struct PersistenceFixture : ::testing::Test {
   void SetUp() override { root = fresh_dir("registries"); }
   void TearDown() override { fs::remove_all(root); }
 
-  docker::Image push_one(std::uint64_t seed, const std::string& name,
-                         const ChunkPolicy& policy = {}) {
+  void push_one(std::uint64_t seed, const std::string& name) {
     vfs::FileTree t = gear::testing::random_tree(seed, 15);
-    // One big file so chunking has something to bite on.
-    Rng rng(seed + 1);
-    t.add_file("big/model.bin", rng.next_bytes(48 * 1024, 0.3));
-    docker::ImageBuilder b;
-    b.add_snapshot(t);
-    docker::Image image = b.build(name, "v1", {});
-    push_gear_image(GearConverter().convert(image).image, docker_registry,
-                    gear_registry, policy);
-    return image;
+    push_gear_image(GearConverter().convert(t, name, "v1", {}).image,
+                    docker_registry, gear_registry);
   }
 };
 
 TEST_F(PersistenceFixture, SaveLoadRoundTrip) {
-  docker::Image image = push_one(700, "app");
-  PersistReport saved = save_registries(docker_registry, gear_registry, root);
+  push_one(700, "app");
+  PersistReport saved = save_docker_registry(docker_registry, root);
   EXPECT_GT(saved.blobs, 0u);
-  EXPECT_GT(saved.objects, 0u);
   EXPECT_EQ(saved.manifests, 1u);
 
   docker::DockerRegistry docker2;
-  GearRegistry gear2;
-  PersistReport loaded = load_registries(root, &docker2, &gear2);
+  PersistReport loaded = load_docker_registry(root, &docker2);
   EXPECT_EQ(loaded.blobs, saved.blobs);
-  EXPECT_EQ(loaded.objects, saved.objects);
   EXPECT_EQ(loaded.manifests, saved.manifests);
 
   // Identical logical state.
   EXPECT_EQ(docker2.get_manifest("app:v1").value(),
             docker_registry.get_manifest("app:v1").value());
-  EXPECT_EQ(gear2.object_count(), gear_registry.object_count());
-  EXPECT_EQ(gear2.storage_bytes(), gear_registry.storage_bytes());
-  for (const Fingerprint& fp : gear_registry.list_objects()) {
-    EXPECT_EQ(gear2.download(fp).value(),
-              gear_registry.download(fp).value());
-  }
-}
-
-TEST_F(PersistenceFixture, ChunkedFilesSurviveRoundTrip) {
-  const ChunkPolicy policy{16 * 1024, 8 * 1024};
-  push_one(710, "ai", policy);
-  ASSERT_FALSE(gear_registry.list_chunked().empty());
-  save_registries(docker_registry, gear_registry, root);
-
-  docker::DockerRegistry docker2;
-  GearRegistry gear2;
-  load_registries(root, &docker2, &gear2);
-  for (const Fingerprint& fp : gear_registry.list_chunked()) {
-    ASSERT_TRUE(gear2.is_chunked(fp));
-    EXPECT_EQ(gear2.chunk_manifest(fp).value(),
-              gear_registry.chunk_manifest(fp).value());
-    EXPECT_EQ(gear2.download(fp).value(),
-              gear_registry.download(fp).value());
+  EXPECT_EQ(docker2.storage_bytes(), docker_registry.storage_bytes());
+  for (const docker::Digest& digest : docker_registry.list_blobs()) {
+    EXPECT_EQ(docker2.get_blob(digest).value(),
+              docker_registry.get_blob(digest).value());
   }
 }
 
@@ -180,42 +156,25 @@ TEST_F(PersistenceFixture, SaveIsFullSnapshot) {
   // manifest file behind to resurrect the image on load.
   push_one(720, "keep");
   push_one(721, "drop");
-  save_registries(docker_registry, gear_registry, root);
+  save_docker_registry(docker_registry, root);
 
   docker_registry.delete_manifest("drop:v1");
-  GearRegistryGc(docker_registry, gear_registry).collect();
-  save_registries(docker_registry, gear_registry, root);
+  save_docker_registry(docker_registry, root);
 
   docker::DockerRegistry docker2;
-  GearRegistry gear2;
-  load_registries(root, &docker2, &gear2);
+  load_docker_registry(root, &docker2);
   EXPECT_TRUE(docker2.has_manifest("keep:v1"));
   EXPECT_FALSE(docker2.has_manifest("drop:v1"));
-  EXPECT_EQ(gear2.object_count(), gear_registry.object_count());
-}
-
-TEST_F(PersistenceFixture, SingleChunkFilesStoredPlain) {
-  // Regression: a policy whose chunk size exceeds the file size must not
-  // create a manifest aliasing its only chunk's fingerprint.
-  const ChunkPolicy policy{16 * 1024, 1024 * 1024};
-  push_one(730, "single", policy);
-  EXPECT_TRUE(gear_registry.list_chunked().empty());
-  // Round-trip still clean.
-  save_registries(docker_registry, gear_registry, root);
-  docker::DockerRegistry docker2;
-  GearRegistry gear2;
-  EXPECT_NO_THROW(load_registries(root, &docker2, &gear2));
 }
 
 TEST_F(PersistenceFixture, LoadMissingLayoutThrows) {
   docker::DockerRegistry d;
-  GearRegistry g;
-  EXPECT_THROW(load_registries(root / "nothing_here", &d, &g), Error);
+  EXPECT_THROW(load_docker_registry(root / "nothing_here", &d), Error);
 }
 
 TEST_F(PersistenceFixture, CorruptBlobDetectedOnLoad) {
   push_one(740, "app");
-  save_registries(docker_registry, gear_registry, root);
+  save_docker_registry(docker_registry, root);
   // Flip a byte in some blob on disk.
   for (const auto& entry : fs::directory_iterator(root / "docker" / "blobs")) {
     std::fstream f(entry.path(), std::ios::in | std::ios::out | std::ios::binary);
@@ -224,8 +183,91 @@ TEST_F(PersistenceFixture, CorruptBlobDetectedOnLoad) {
     break;
   }
   docker::DockerRegistry d;
-  GearRegistry g;
-  EXPECT_THROW(load_registries(root, &d, &g), Error);  // digest mismatch
+  EXPECT_THROW(load_docker_registry(root, &d), Error);  // digest mismatch
+}
+
+// ------------------------------------------- crash-safe incremental save
+
+using DockerSnapshot = PersistenceFixture;
+
+ino_t inode_of(const fs::path& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st.st_ino;
+}
+
+TEST_F(DockerSnapshot, TornTempsAreIgnoredOnLoad) {
+  // A process killed mid-save leaves "<name>.tmp" siblings of the entries
+  // it was writing; load must skip them, and the next save removes them.
+  push_one(750, "app");
+  save_docker_registry(docker_registry, root);
+  const std::string torn_hex(64, 'e');
+  std::ofstream(root / "docker" / "blobs" / (torn_hex + ".tmp")) << "torn";
+  std::ofstream(root / "docker" / "manifests" / "next_v1.json.tmp") << "{";
+
+  docker::DockerRegistry loaded;
+  PersistReport report = load_docker_registry(root, &loaded);
+  EXPECT_EQ(report.blobs, docker_registry.blob_count());
+  EXPECT_EQ(report.manifests, 1u);
+  EXPECT_TRUE(loaded.has_manifest("app:v1"));
+
+  save_docker_registry(loaded, root);
+  EXPECT_FALSE(fs::exists(root / "docker" / "blobs" / (torn_hex + ".tmp")));
+  EXPECT_FALSE(fs::exists(root / "docker" / "manifests" / "next_v1.json.tmp"));
+}
+
+TEST_F(DockerSnapshot, SaveAfterDeleteRemovesExactlyThatManifest) {
+  push_one(760, "keep");
+  push_one(761, "drop");
+  save_docker_registry(docker_registry, root);
+  const fs::path manifests = root / "docker" / "manifests";
+  const fs::path blobs = root / "docker" / "blobs";
+  std::set<std::string> before;
+  for (const auto& entry : fs::directory_iterator(manifests)) {
+    before.insert(entry.path().filename().string());
+  }
+  std::size_t blobs_before = static_cast<std::size_t>(std::distance(
+      fs::directory_iterator(blobs), fs::directory_iterator()));
+
+  ASSERT_TRUE(docker_registry.delete_manifest("drop:v1"));
+  save_docker_registry(docker_registry, root);
+
+  std::set<std::string> after;
+  for (const auto& entry : fs::directory_iterator(manifests)) {
+    after.insert(entry.path().filename().string());
+  }
+  before.erase("drop_v1.json");
+  EXPECT_EQ(after, before);
+  // The registry still holds the deleted image's blobs (only GC sweeps
+  // them), so the snapshot keeps every one.
+  EXPECT_EQ(static_cast<std::size_t>(std::distance(
+                fs::directory_iterator(blobs), fs::directory_iterator())),
+            blobs_before);
+}
+
+TEST_F(DockerSnapshot, UnchangedEntriesAreNotRewritten) {
+  push_one(770, "first");
+  save_docker_registry(docker_registry, root);
+  std::map<fs::path, ino_t> inodes;
+  for (const char* dir : {"blobs", "manifests"}) {
+    for (const auto& entry : fs::directory_iterator(root / "docker" / dir)) {
+      inodes[entry.path()] = inode_of(entry.path());
+    }
+  }
+  ASSERT_FALSE(inodes.empty());
+
+  // A later save with one more image writes only the new entries: every
+  // file already on disk keeps its inode (a durable rewrite renames a new
+  // file into place).
+  push_one(771, "second");
+  save_docker_registry(docker_registry, root);
+  for (const auto& [path, inode] : inodes) {
+    EXPECT_EQ(inode_of(path), inode) << path;
+  }
+  docker::DockerRegistry loaded;
+  load_docker_registry(root, &loaded);
+  EXPECT_TRUE(loaded.has_manifest("first:v1"));
+  EXPECT_TRUE(loaded.has_manifest("second:v1"));
 }
 
 }  // namespace

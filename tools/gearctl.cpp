@@ -12,14 +12,17 @@
 //   gearctl <store-dir> stats
 //   gearctl serve --addr HOST:PORT --store-dir DIR [--shards N --replicas R]
 //
-// The store directory persists both registries (gear/persistence.hpp
-// layout). `import` turns a real directory into a Gear image; `export`
-// reconstructs an image's root filesystem back onto disk.
+// The store directory holds both registries: the Docker half (manifests,
+// index layers) as a snapshot under <store-dir>/docker (gear/persistence),
+// and the Gear files in a DiskObjectStore under <store-dir>/gear, or under
+// --store-dir PATH when given. `import` converts a real directory straight
+// into a Gear image (no layered image is built); `export` reconstructs an
+// image's root filesystem back onto disk.
 //
 // `serve` runs the gear-file registry as a TCP daemon over the wire
 // protocol; client invocations in other processes reach it with
-// --remote HOST:PORT (the Docker half — manifests, index layers — stays a
-// local snapshot under the client's store dir).
+// --remote HOST:PORT (the Docker half stays a local snapshot under the
+// client's store dir).
 #include <algorithm>
 #include <chrono>
 #include <csignal>
@@ -67,17 +70,14 @@ std::size_t g_range_batch = 64;
 /// command (gear/prefetch.hpp). Delta-first is the paper's redeploy case.
 PrefetchOrder g_prefetch_order = PrefetchOrder::kDelta;
 
-/// --store-dir PATH: keep the Gear files on a durable DiskObjectStore at
-/// PATH instead of in memory. The disk store IS the live registry state —
-/// it needs no save/load snapshot and survives process restarts — so only
-/// the Docker half (manifests, index layers) is snapshotted under the
-/// store root. Empty = historical in-memory mode.
+/// --store-dir PATH: where the DiskObjectStore holding the Gear files lives.
+/// Empty = <store-dir>/gear. Required by serve, which has no store dir.
 fs::path g_object_store_dir;
 
 /// --shards N / --replicas R: run the gear-file side as a FleetRegistry of
 /// N disk-backed instances (consistent-hash routed, R-way replicated) under
-/// <store-dir-path>/shard-<i>. Requires --store-dir; placement is stable
-/// across invocations because the ring depends only on shard ids.
+/// <object-store-dir>/shard-<i>; placement is stable across invocations
+/// because the ring depends only on shard ids.
 std::size_t g_shards = 1;
 std::size_t g_replicas = 1;
 
@@ -133,18 +133,44 @@ volatile std::sig_atomic_t g_serve_stop = 0;
 
 void handle_serve_signal(int) { g_serve_stop = 1; }
 
-std::unique_ptr<ObjectStore> make_file_backend() {
-  if (g_object_store_dir.empty()) return nullptr;  // in-memory default
-  return std::make_unique<DiskObjectStore>(g_object_store_dir);
+/// The gear-file registry over DiskObjectStores: one GearRegistry, or with
+/// --shards N > 1 a FleetRegistry routing over N of them.
+struct LocalFiles {
+  std::vector<std::unique_ptr<GearRegistry>> shards;
+  std::unique_ptr<FleetRegistry> fleet;  // set only with --shards > 1
+
+  /// The fleet router with --shards > 1, the lone backend otherwise.
+  FileRegistryApi& api() {
+    return fleet ? static_cast<FileRegistryApi&>(*fleet) : *shards[0];
+  }
+};
+
+/// Opens (creating if needed) the gear-file registry rooted at `dir`, or
+/// with --shards N its fleet, shard i under <dir>/shard-<i>.
+LocalFiles open_local_files(const fs::path& dir) {
+  LocalFiles files;
+  if (g_shards == 1) {
+    files.shards.push_back(
+        std::make_unique<GearRegistry>(std::make_unique<DiskObjectStore>(dir)));
+    return files;
+  }
+  std::vector<FileRegistryApi*> backends;
+  for (std::size_t i = 0; i < g_shards; ++i) {
+    files.shards.push_back(
+        std::make_unique<GearRegistry>(std::make_unique<DiskObjectStore>(
+            dir / ("shard-" + std::to_string(i)))));
+    backends.push_back(files.shards.back().get());
+  }
+  FleetRegistry::Options opts;
+  opts.replicas = g_replicas;
+  files.fleet = std::make_unique<FleetRegistry>(std::move(backends), opts);
+  return files;
 }
 
 struct Store {
   fs::path root;
   docker::DockerRegistry docker;
-  // Backend registries: one in single-registry mode, g_shards disk-backed
-  // instances in fleet mode (--shards > 1).
-  std::vector<std::unique_ptr<GearRegistry>> shards;
-  std::unique_ptr<FleetRegistry> fleet;  // set only in fleet mode
+  LocalFiles local;  // empty with --remote
   // Remote mode (--remote): the gear files live behind a `gearctl serve`
   // daemon; the stub frames every call through one TCP connection.
   std::unique_ptr<net::TcpTransport> remote_transport;
@@ -159,63 +185,33 @@ struct Store {
       // re-hash check (the frame CRC still covers transit integrity).
       remote = std::make_unique<net::RemoteGearRegistry>(
           *remote_transport, /*max_attempts=*/4, /*verify_content=*/false);
-      if (fs::is_directory(root / "docker")) {
-        load_docker_registry(root, &docker);
-      } else if (must_exist) {
-        throw Error(ErrorCode::kNotFound,
-                    "no gear store at " + root.string() + " (run init first)");
-      }
-      return;
     }
-    if (g_shards > 1) {
-      std::vector<FileRegistryApi*> backends;
-      for (std::size_t i = 0; i < g_shards; ++i) {
-        shards.push_back(std::make_unique<GearRegistry>(
-            std::make_unique<DiskObjectStore>(
-                g_object_store_dir / ("shard-" + std::to_string(i)))));
-        backends.push_back(shards.back().get());
-      }
-      FleetRegistry::Options opts;
-      opts.replicas = g_replicas;
-      fleet = std::make_unique<FleetRegistry>(std::move(backends), opts);
-    } else {
-      shards.push_back(std::make_unique<GearRegistry>(make_file_backend()));
-    }
-    const bool disk_backed = !g_object_store_dir.empty();
     if (fs::is_directory(root / "docker")) {
-      if (disk_backed) {
-        load_docker_registry(root, &docker);
-      } else {
-        load_registries(root, &docker, shards[0].get());
-      }
+      load_docker_registry(root, &docker);
     } else if (must_exist) {
       throw Error(ErrorCode::kNotFound,
                   "no gear store at " + root.string() + " (run init first)");
     }
+    // Opened only once the store is known to exist, so a mistyped store
+    // path creates nothing.
+    if (!remote) {
+      local = open_local_files(g_object_store_dir.empty() ? root / "gear"
+                                                          : g_object_store_dir);
+    }
   }
 
   /// The registry the data path talks to: the remote stub with --remote,
-  /// the fleet router with --shards > 1, the lone backend otherwise.
+  /// the local registry (or fleet router) otherwise.
   FileRegistryApi& files() {
     if (remote) return *remote;
-    return fleet ? static_cast<FileRegistryApi&>(*fleet) : *shards[0];
+    return local.api();
   }
 
   /// The single backend registry, or null in fleet/remote mode. Commands
   /// that need registry internals (gc, scrub) only work against a local
   /// single instance.
   GearRegistry* single() {
-    return (fleet || remote) ? nullptr : shards[0].get();
-  }
-
-  void save() {
-    if (remote) {
-      save_docker_registry(docker, root);
-    } else if (g_object_store_dir.empty()) {
-      save_registries(docker, *shards[0], root);
-    } else {
-      save_docker_registry(docker, root);
-    }
+    return (local.fleet || remote) ? nullptr : local.shards[0].get();
   }
 };
 
@@ -273,7 +269,7 @@ util::ThreadPool* read_pool() {
 }
 
 int cmd_init(Store& store) {
-  store.save();
+  save_docker_registry(store.docker, store.root);
   std::printf("initialized gear store at %s\n", store.root.string().c_str());
   return 0;
 }
@@ -295,14 +291,11 @@ int cmd_import(Store& store, const std::string& dir, const std::string& ref,
               static_cast<unsigned long long>(stats.symlinks),
               format_size(stats.total_file_bytes).c_str());
 
-  docker::ImageBuilder builder;
-  builder.add_snapshot(root);
   docker::ImageConfig config;
   config.labels["gearctl.import.source"] = dir;
-  docker::Image image = builder.build(ref.substr(0, colon),
-                                      ref.substr(colon + 1), config);
 
-  // Convert with collision detection against what the store already holds.
+  // Convert the tree itself (no layered image in between), with collision
+  // detection against what the store already holds.
   GearConverter converter(default_hasher(),
                           [&store](const Fingerprint& fp) {
                             StatusOr<Bytes> got = store.files().download(fp);
@@ -311,7 +304,9 @@ int cmd_import(Store& store, const std::string& dir, const std::string& ref,
                                        : std::nullopt;
                           });
   converter.set_concurrency(g_concurrency);
-  ConversionResult conv = converter.convert(image);
+  ConversionResult conv =
+      converter.convert(root, ref.substr(0, colon), ref.substr(colon + 1),
+                        std::move(config));
   ChunkPolicy policy;
   if (chunk_threshold > 0) {
     policy.threshold_bytes = chunk_threshold;
@@ -323,7 +318,7 @@ int cmd_import(Store& store, const std::string& dir, const std::string& ref,
   std::size_t uploaded =
       push_gear_image(conv.image, store.docker, store.files(), policy,
                       pool.get(), g_concurrency.max_inflight_bytes);
-  store.save();
+  save_docker_registry(store.docker, store.root);
 
   std::printf("converted: %zu unique gear files (%zu uploaded, rest "
               "deduplicated), index layer %s\n",
@@ -660,7 +655,7 @@ int cmd_commit(Store& store, const std::string& container,
   LocalRuntime runtime = make_runtime(store);
   std::string result = runtime.commit(container, ref.substr(0, colon),
                                       ref.substr(colon + 1));
-  store.save();
+  save_docker_registry(store.docker, store.root);
   std::printf("committed %s as %s\n", container.c_str(), result.c_str());
   return 0;
 }
@@ -670,7 +665,7 @@ int cmd_rm(Store& store, const std::string& ref) {
     std::fprintf(stderr, "no such image: %s\n", ref.c_str());
     return 1;
   }
-  store.save();
+  save_docker_registry(store.docker, store.root);
   std::printf("removed %s (run gc to reclaim unreferenced files)\n",
               ref.c_str());
   return 0;
@@ -681,7 +676,7 @@ int cmd_gc(Store& store) {
   if (single == nullptr) return 2;
   GearRegistryGc gc(store.docker, *single);
   GcReport report = gc.collect();
-  store.save();
+  save_docker_registry(store.docker, store.root);
   std::printf("gc: scanned %zu indexes, %zu live objects, swept %zu "
               "(%s reclaimed)\n",
               report.indexes_scanned, report.live_objects,
@@ -764,21 +759,22 @@ int cmd_stats(Store& store) {
   std::printf("docker registry: %zu manifests, %zu blobs, %s\n",
               store.docker.manifest_count(), store.docker.blob_count(),
               format_size(store.docker.storage_bytes()).c_str());
-  if (store.fleet) {
+  if (store.local.fleet) {
+    const auto& shards = store.local.shards;
     std::size_t objects = 0;
     std::uint64_t bytes = 0;
-    for (const auto& shard : store.shards) {
+    for (const auto& shard : shards) {
       objects += shard->object_count();
       bytes += shard->storage_bytes();
     }
     std::printf("gear registry:   fleet of %zu shards (replicas %zu), "
                 "%zu stored objects, %s\n",
-                store.shards.size(), store.fleet->replication(), objects,
+                shards.size(), store.local.fleet->replication(), objects,
                 format_size(bytes).c_str());
-    for (std::size_t i = 0; i < store.shards.size(); ++i) {
+    for (std::size_t i = 0; i < shards.size(); ++i) {
       std::printf("  shard %zu: %zu objects, %s\n", i,
-                  store.shards[i]->object_count(),
-                  format_size(store.shards[i]->storage_bytes()).c_str());
+                  shards[i]->object_count(),
+                  format_size(shards[i]->storage_bytes()).c_str());
     }
   } else {
     std::printf("gear registry:   %zu objects, %s\n",
@@ -826,26 +822,8 @@ int cmd_stats(Store& store) {
 /// "serving on HOST:PORT" once bound — with --addr HOST:0 the kernel picks
 /// the port and this line is how callers learn it.
 int cmd_serve() {
-  std::vector<std::unique_ptr<GearRegistry>> shards;
-  std::unique_ptr<FleetRegistry> fleet;
-  if (g_shards > 1) {
-    std::vector<FileRegistryApi*> backends;
-    for (std::size_t i = 0; i < g_shards; ++i) {
-      shards.push_back(std::make_unique<GearRegistry>(
-          std::make_unique<DiskObjectStore>(
-              g_object_store_dir / ("shard-" + std::to_string(i)))));
-      backends.push_back(shards.back().get());
-    }
-    FleetRegistry::Options opts;
-    opts.replicas = g_replicas;
-    fleet = std::make_unique<FleetRegistry>(std::move(backends), opts);
-  } else {
-    shards.push_back(std::make_unique<GearRegistry>(
-        std::make_unique<DiskObjectStore>(g_object_store_dir)));
-  }
-  FileRegistryApi& files =
-      fleet ? static_cast<FileRegistryApi&>(*fleet) : *shards[0];
-  net::FrameServer frames(files);
+  LocalFiles files = open_local_files(g_object_store_dir);
+  net::FrameServer frames(files.api());
   net::TcpServer server(frames);
 
   // Handlers go in before the socket opens: a supervisor that signals the
@@ -1002,10 +980,10 @@ int usage() {
                "compression and for batched reads (launch --lazy, prefetch, "
                "export; default: one per core)\n"
                "  --store-dir PATH durable on-disk object store for the gear "
-               "files (survives restarts; default: in-memory + snapshot)\n"
+               "files (survives restarts; default: <store-dir>/gear)\n"
                "  --shards N       route the gear files over a fleet of N "
-               "disk-backed registry instances (consistent-hash ring; "
-               "requires --store-dir)\n"
+               "disk-backed registry instances (consistent-hash ring; shard "
+               "i under <object store>/shard-<i>)\n"
                "  --replicas R     store every gear file on R distinct "
                "shards (default 1; must not exceed --shards)\n"
                "  --range-batch N  chunk indices per batched range request in "
@@ -1260,12 +1238,6 @@ int main(int argc, char** argv) {
   if (g_replicas > g_shards) {
     std::fprintf(stderr, "gearctl: --replicas %zu exceeds --shards %zu\n",
                  g_replicas, g_shards);
-    return 2;
-  }
-  if (g_shards > 1 && g_object_store_dir.empty()) {
-    std::fprintf(stderr,
-                 "gearctl: --shards > 1 requires --store-dir (each shard "
-                 "keeps its objects under <store-dir>/shard-<i>)\n");
     return 2;
   }
 
