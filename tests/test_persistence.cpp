@@ -1,6 +1,7 @@
-// Tests for filesystem I/O (directory <-> tree) and the Docker registry
+// Tests for filesystem I/O (directory <-> tree), the Docker registry
 // snapshot (gear/persistence): round trip, full-snapshot deletes, and the
-// crash-safe incremental save.
+// crash-safe incremental save, and the Gear files kept beside it in a
+// DiskObjectStore across a restart.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -13,6 +14,7 @@
 
 #include "gear/client.hpp"
 #include "gear/converter.hpp"
+#include "gear/object_store.hpp"
 #include "gear/persistence.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -124,9 +126,18 @@ struct PersistenceFixture : ::testing::Test {
   void TearDown() override { fs::remove_all(root); }
 
   void push_one(std::uint64_t seed, const std::string& name) {
+    push_one(seed, name, gear_registry, {});
+  }
+
+  // Pushes into `gear`, with one big file so chunking has something to
+  // bite on.
+  void push_one(std::uint64_t seed, const std::string& name, GearRegistry& gear,
+                const ChunkPolicy& policy) {
     vfs::FileTree t = gear::testing::random_tree(seed, 15);
+    Rng rng(seed + 1);
+    t.add_file("big/model.bin", rng.next_bytes(48 * 1024, 0.3));
     push_gear_image(GearConverter().convert(t, name, "v1", {}).image,
-                    docker_registry, gear_registry);
+                    docker_registry, gear, policy);
   }
 };
 
@@ -151,6 +162,36 @@ TEST_F(PersistenceFixture, SaveLoadRoundTrip) {
   }
 }
 
+TEST_F(PersistenceFixture, ChunkedFilesSurviveRoundTrip) {
+  // The Gear files of a store live in a DiskObjectStore next to the Docker
+  // snapshot; after a restart both come back, chunked files still chunked.
+  const ChunkPolicy policy{16 * 1024, 8 * 1024};
+  std::map<Fingerprint, ChunkManifest> manifests;
+  std::map<Fingerprint, Bytes> contents;
+  {
+    GearRegistry gear(std::make_unique<DiskObjectStore>(root / "gear"));
+    push_one(710, "ai", gear, policy);
+    ASSERT_FALSE(gear.list_chunked().empty());
+    for (const Fingerprint& fp : gear.list_chunked()) {
+      manifests.emplace(fp, gear.chunk_manifest(fp).value());
+      contents.emplace(fp, gear.download(fp).value());
+    }
+    save_docker_registry(docker_registry, root);
+  }
+
+  docker::DockerRegistry docker2;
+  load_docker_registry(root, &docker2);
+  EXPECT_EQ(docker2.get_manifest("ai:v1").value(),
+            docker_registry.get_manifest("ai:v1").value());
+  GearRegistry gear2(std::make_unique<DiskObjectStore>(root / "gear"));
+  EXPECT_EQ(gear2.list_chunked().size(), manifests.size());
+  for (const auto& [fp, manifest] : manifests) {
+    ASSERT_TRUE(gear2.is_chunked(fp));
+    EXPECT_EQ(gear2.chunk_manifest(fp).value(), manifest);
+    EXPECT_EQ(gear2.download(fp).value(), contents.at(fp));
+  }
+}
+
 TEST_F(PersistenceFixture, SaveIsFullSnapshot) {
   // Regression: deleting a manifest then saving must not leave the old
   // manifest file behind to resurrect the image on load.
@@ -165,6 +206,29 @@ TEST_F(PersistenceFixture, SaveIsFullSnapshot) {
   load_docker_registry(root, &docker2);
   EXPECT_TRUE(docker2.has_manifest("keep:v1"));
   EXPECT_FALSE(docker2.has_manifest("drop:v1"));
+}
+
+TEST_F(PersistenceFixture, SingleChunkFilesStoredPlain) {
+  // Regression: a policy whose chunk size exceeds the file size must not
+  // create a manifest aliasing its only chunk's fingerprint.
+  const ChunkPolicy policy{16 * 1024, 1024 * 1024};
+  std::size_t objects = 0;
+  {
+    GearRegistry gear(std::make_unique<DiskObjectStore>(root / "gear"));
+    push_one(730, "single", gear, policy);
+    EXPECT_TRUE(gear.list_chunked().empty());
+    objects = gear.object_count();
+    save_docker_registry(docker_registry, root);
+  }
+  // Round trip still clean, and still plain.
+  docker::DockerRegistry docker2;
+  EXPECT_NO_THROW(load_docker_registry(root, &docker2));
+  GearRegistry gear2(std::make_unique<DiskObjectStore>(root / "gear"));
+  EXPECT_TRUE(gear2.list_chunked().empty());
+  EXPECT_EQ(gear2.object_count(), objects);
+  for (const Fingerprint& fp : gear2.list_objects()) {
+    EXPECT_NO_THROW((void)gear2.download(fp).value());
+  }
 }
 
 TEST_F(PersistenceFixture, LoadMissingLayoutThrows) {
